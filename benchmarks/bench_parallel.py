@@ -15,8 +15,6 @@ warm-pool economics introduced by :class:`repro.parallel.WorkerPoolManager`:
 
 * ``pool`` — cold pool start (spawn + prewarm) vs acquiring the already-warm
   managed pool, plus the manager's reuse counters,
-* ``arena`` — :class:`repro.parallel.SharedArenaCache` hit rate and byte
-  occupancy after the workloads (repeat calls should be hits, not creates),
 * ``dispatch`` — the calibrated serial-vs-parallel cost model and its
   measured crossover batch size,
 * ``gate`` — per-workload ``speedup_2x > 1`` verdicts, asserted only on
@@ -58,7 +56,6 @@ from repro.parallel import (
     ProcessExecutor,
     default_start_method,
     dispatch_decision,
-    get_arena,
     get_executor,
     get_pool_manager,
 )
@@ -322,7 +319,6 @@ def main(argv=None) -> int:
                 workers_list,
                 results,
             )
-        arena_stats = get_arena().stats()
         pool_stats = bench_pool_economics(manager)
         model = manager.calibrate(
             2,
@@ -369,7 +365,6 @@ def main(argv=None) -> int:
         f"pool: cold_start={pool_stats['cold_start_s']:.4f}s "
         f"warm_acquire={pool_stats['warm_acquire_s']:.4f}s "
         f"({pool_stats['cold_vs_warm']:.1f}x); "
-        f"arena hit rate {arena_stats['hit_rate']:.2f}; "
         f"dispatch crossover {crossover:.0f} items"
     )
 
@@ -397,7 +392,6 @@ def main(argv=None) -> int:
             for name, row in results.items()
         },
         "pool": {**pool_stats, "manager": manager_stats},
-        "arena": arena_stats,
         "dispatch": dispatch_info,
         "gate": gate,
     }

@@ -191,7 +191,6 @@ def pairwise_distances(
     if metric not in PAIRWISE_METRICS:
         raise ValueError(f"unknown metric {metric!r}; options: {sorted(PAIRWISE_METRICS)}")
     from ..parallel import SerialExecutor, SharedTrajectoryBatch, chunk_spans, resolve_executor
-    from ..parallel.shm import get_arena
 
     trajs = list(trajectories)
     n = len(trajs)
@@ -205,9 +204,7 @@ def pairwise_distances(
             values = [float(fn(trajs[i], trajs[j], **metric_kwargs)) for i, j in pairs]
         else:
             spans = chunk_spans(len(pairs), chunk_size)
-            # Arena-leased block: repeated matrices over same-scale fleets
-            # reuse one pooled segment instead of create/unlink per call.
-            with SharedTrajectoryBatch.create(trajs, arena=get_arena()) as batch:
+            with SharedTrajectoryBatch.create(trajs) as batch:
                 payloads = [
                     (batch.handle, pairs[start:stop], metric, metric_kwargs)
                     for start, stop in spans

@@ -26,6 +26,7 @@ import queue
 import threading
 import time
 import zlib
+from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import nullcontext
 from typing import Callable, Iterable, Sequence
@@ -41,6 +42,10 @@ from .registry import IngestCounters, QualityRegistry
 POLICIES = ("block", "drop_oldest", "reject")
 
 _SENTINEL = object()
+
+#: Gate-chain latencies kept per shard: the most recent ones only, so a
+#: long-running engine holds a fixed amount of memory for them.
+_LATENCY_WINDOW = 65_536
 
 #: Shared no-op context for disabled-observability paths.
 _NULL = nullcontext()
@@ -149,7 +154,9 @@ class IngestEngine:
         self._gate_factories = list(gate_factories)
         self._queues: list[queue.Queue] = [queue.Queue(maxsize=queue_size) for _ in range(n_shards)]
         self._chains: list[dict[str, list[StreamingGate]]] = [{} for _ in range(n_shards)]
-        self._latencies: list[list[float]] = [[] for _ in range(n_shards)]
+        self._latencies: list[deque[float]] = [
+            deque(maxlen=_LATENCY_WINDOW) for _ in range(n_shards)
+        ]
         self._processed: list[int] = [0] * n_shards
         self._closed = False
         self._executor = ThreadPoolExecutor(
@@ -250,7 +257,10 @@ class IngestEngine:
     # -- observability -----------------------------------------------------------
 
     def gate_latencies(self) -> list[float]:
-        """Per-event gate-chain latencies (seconds) across all shards."""
+        """Gate-chain latencies (seconds), shard by shard.
+
+        Each shard keeps only its most recent ``_LATENCY_WINDOW`` events.
+        """
         out: list[float] = []
         for shard in self._latencies:
             out.extend(shard)

@@ -17,9 +17,8 @@ query fan-out, pairwise similarity matrices — run on all cores:
 * :mod:`~repro.parallel.chunking` — worker-count-independent chunk spans
   and stable per-item seed derivation,
 * :mod:`~repro.parallel.shm` — zero-copy shared-memory handoff of the PR-2
-  columnar blocks (:class:`SharedArray`, :class:`SharedTrajectoryBatch`)
-  plus the reusable :class:`SharedArenaCache` (:func:`get_arena`), so
-  repeated fan-out calls stop paying segment create/copy/unlink.
+  columnar blocks (:class:`SharedArray`, :class:`SharedTrajectoryBatch`):
+  the owner creates and unlinks each segment, workers attach per task.
 
 Consumers: :meth:`repro.core.Pipeline.run_many` /
 :meth:`~repro.core.Pipeline.run_ablations`,
@@ -51,16 +50,7 @@ from .executor import (
     resolve_executor,
 )
 from .pool import PoolLease, PoolStats, WorkerPoolManager, get_pool_manager, shutdown_all
-from .shm import (
-    ArenaHandle,
-    ArrayHandle,
-    SharedArenaCache,
-    SharedArray,
-    SharedTrajectoryBatch,
-    TrajectoryBatchHandle,
-    close_default_arena,
-    get_arena,
-)
+from .shm import ArrayHandle, SharedArray, SharedTrajectoryBatch, TrajectoryBatchHandle
 
 __all__ = [
     "chunk_spans",
@@ -85,12 +75,8 @@ __all__ = [
     "WorkerPoolManager",
     "get_pool_manager",
     "shutdown_all",
-    "ArenaHandle",
     "ArrayHandle",
-    "SharedArenaCache",
     "SharedArray",
     "SharedTrajectoryBatch",
     "TrajectoryBatchHandle",
-    "close_default_arena",
-    "get_arena",
 ]

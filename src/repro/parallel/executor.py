@@ -114,8 +114,8 @@ class ProcessExecutor:
             # forked while the parent has no tracker hands every child
             # ``_fd=None``, so each worker spawns a private tracker on its
             # first shm attach; if those workers later die, their trackers
-            # exit and unlink every segment they registered — including arena
-            # segments still live in this process.  Pre-seeding the tracker
+            # exit and unlink every segment they registered — including a
+            # store's packed pair still live in this process.  Pre-seeding the tracker
             # makes all children (fork and spawn alike) share the parent's.
             resource_tracker.ensure_running()
             ctx = get_context(self.start_method) if self.start_method else None
@@ -173,18 +173,32 @@ class ProcessExecutor:
         self.close()
 
 
+def _resolve_workers(workers: int | None) -> int | None:
+    """``workers < 0`` means one worker per CPU this process may run on.
+
+    Counts the affinity set, not the machine: a process pinned to fewer
+    CPUs than ``os.cpu_count()`` reports would otherwise oversubscribe.
+    """
+    if workers is None or workers >= 0:
+        return workers
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def get_executor(workers: int | None = None, start_method: str | None = None) -> Executor:
     """Executor for ``workers``: serial for <= 1, a warm pool lease otherwise.
 
-    ``workers=None`` means serial; ``workers=-1`` means one worker per CPU.
+    ``workers=None`` means serial; ``workers=-1`` means one worker per
+    usable CPU (the process's affinity set).
     Parallel requests lease the process-wide warm pool for
     ``(workers, start_method)`` from the
     :class:`~repro.parallel.pool.WorkerPoolManager` — the pool is created
     (and prewarmed) once and shared by every caller; closing the returned
     lease releases it without tearing the pool down.
     """
-    if workers is not None and workers < 0:
-        workers = os.cpu_count() or 1
+    workers = _resolve_workers(workers)
     if workers is None or workers <= 1:
         return SerialExecutor()
     from .pool import get_pool_manager
@@ -223,8 +237,7 @@ def resolve_executor(
             return
         yield executor
         return
-    if workers is not None and workers < 0:
-        workers = os.cpu_count() or 1
+    workers = _resolve_workers(workers)
     if (
         workers is not None
         and workers > 1

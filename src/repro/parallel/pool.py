@@ -264,16 +264,13 @@ def get_pool_manager() -> WorkerPoolManager:
 
 
 def shutdown_all() -> None:
-    """Tear down every warm pool and the shared shm arena.
+    """Tear down every warm pool.
 
     Registered via :mod:`atexit` so pytest runs, benchmarks, and examples
     exit clean (no orphaned workers, no leaked segments); safe to call
-    eagerly and repeatedly — the next ``acquire``/``share`` simply rebuilds.
+    eagerly and repeatedly — the next ``acquire`` simply rebuilds.
     """
-    from .shm import close_default_arena
-
     _MANAGER.shutdown_all()
-    close_default_arena()
 
 
 atexit.register(shutdown_all)

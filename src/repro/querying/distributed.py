@@ -21,11 +21,12 @@ columns partition by partition.  Batch queries
 (:meth:`PartitionedStore.range_query_many` /
 :meth:`~PartitionedStore.knn_many`) filter candidates with vectorized
 reductions, and ``workers > 1`` fans query chunks out to a process pool:
-base columns travel as cached arena leases
-(:mod:`repro.parallel.shm`), delta tails ride the task payload — the
-SATO-style [104] place where parallelism pays.  Routing decisions,
-result order, and the partitions-touched accounting are identical at
-every worker count and every compaction state.
+the whole base tier travels as one packed ``(coords, index)`` pair of
+shared segments (:mod:`repro.parallel.shm`) plus partition offsets,
+reused until a compaction changes it, and delta tails ride the task
+payload — the SATO-style [104] place where parallelism pays.  Routing
+decisions, result order, and the partitions-touched accounting are
+identical at every worker count and every compaction state.
 
 The measurable claim: on skewed data, median partitioning yields near-1
 imbalance while uniform tiling degrades — "node load-balancing and data
@@ -39,6 +40,7 @@ import threading
 import weakref
 from contextlib import ExitStack, nullcontext
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Any, Sequence
 
 import numpy as np
@@ -181,6 +183,27 @@ class _ColumnarView:
         self.coords_chunks = coords_chunks
         self.index_chunks = index_chunks
 
+    @classmethod
+    def of(
+        cls,
+        boxes: np.ndarray,
+        base_coords: Sequence[np.ndarray],
+        base_index: Sequence[np.ndarray],
+        deltas: Sequence[tuple[np.ndarray, np.ndarray] | None],
+    ) -> "_ColumnarView":
+        """Per-partition chunk lists: the base rows (when any), then the delta tail."""
+        coords_chunks: list[list[np.ndarray]] = []
+        index_chunks: list[list[np.ndarray]] = []
+        for coords, index, delta in zip(base_coords, base_index, deltas):
+            cc = [coords] if coords.shape[0] else []
+            ic = [index] if coords.shape[0] else []
+            if delta is not None:
+                cc.append(delta[0])
+                ic.append(delta[1])
+            coords_chunks.append(cc)
+            index_chunks.append(ic)
+        return cls(boxes, coords_chunks, index_chunks)
+
     @property
     def n_partitions(self) -> int:
         return self.boxes.shape[0]
@@ -195,10 +218,11 @@ class _StoreSnapshot:
     Holds the base arrays by reference (they are replaced, never mutated)
     and zero-copy prefixes of the delta buffers (rows below the published
     size are never rewritten), so a snapshot stays valid while appends
-    and compactions continue.
+    and compactions continue.  ``base_version`` names the base tier it
+    holds: it changes exactly when a compaction replaces base arrays.
     """
 
-    __slots__ = ("boxes", "base_coords", "base_index", "deltas", "_view")
+    __slots__ = ("boxes", "base_coords", "base_index", "deltas", "base_version", "_view")
 
     def __init__(
         self,
@@ -206,31 +230,20 @@ class _StoreSnapshot:
         base_coords: list[np.ndarray],
         base_index: list[np.ndarray],
         deltas: list[tuple[np.ndarray, np.ndarray] | None],
+        base_version: int,
     ) -> None:
         self.boxes = boxes
         self.base_coords = base_coords
         self.base_index = base_index
         self.deltas = deltas
+        self.base_version = base_version
         self._view: _ColumnarView | None = None
 
     def view(self) -> _ColumnarView:
-        if self._view is not None:
-            return self._view
-        coords_chunks: list[list[np.ndarray]] = []
-        index_chunks: list[list[np.ndarray]] = []
-        for p in range(self.boxes.shape[0]):
-            cc: list[np.ndarray] = []
-            ic: list[np.ndarray] = []
-            if self.base_coords[p].shape[0]:
-                cc.append(self.base_coords[p])
-                ic.append(self.base_index[p])
-            delta = self.deltas[p]
-            if delta is not None:
-                cc.append(delta[0])
-                ic.append(delta[1])
-            coords_chunks.append(cc)
-            index_chunks.append(ic)
-        self._view = _ColumnarView(self.boxes, coords_chunks, index_chunks)
+        if self._view is None:
+            self._view = _ColumnarView.of(
+                self.boxes, self.base_coords, self.base_index, self.deltas
+            )
         return self._view
 
 
@@ -245,8 +258,9 @@ class _TwoTierColumns:
     """The store's mutable column state: packed base tier + delta tails.
 
     Base tier: per-partition contiguous ``coords``/``index`` arrays,
-    immutable between compactions (and therefore shareable through the
-    arena).  Delta tier: one amortized-growth columnar tail per partition
+    immutable between compactions, with ``base_version`` counting the
+    folds that replaced them (so the packed shared copy knows when it is
+    stale).  Delta tier: one amortized-growth columnar tail per partition
     that :meth:`append` fills and :meth:`compact_one` folds into the base.
     All mutation happens under one lock; :meth:`snapshot` captures a
     consistent read view cheaply, so queries never block on ingest for
@@ -277,6 +291,7 @@ class _TwoTierColumns:
         self.delta_index: list[np.ndarray] = [_EMPTY_INDEX] * n
         self.delta_sizes: list[int] = [0] * n
         self.appended_total = 0
+        self.base_version = 0
         self._snapshot: _StoreSnapshot | None = None
 
     @property
@@ -369,6 +384,7 @@ class _TwoTierColumns:
             self.delta_coords[p] = _EMPTY_COORDS
             self.delta_index[p] = _EMPTY_INDEX
             self.delta_sizes[p] = 0
+            self.base_version += 1
             self._snapshot = None
             return size
 
@@ -391,6 +407,7 @@ class _TwoTierColumns:
                 list(self.base_coords),
                 list(self.base_index),
                 deltas,
+                self.base_version,
             )
             return self._snapshot
 
@@ -525,115 +542,82 @@ def _weights_for(index: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return out
 
 
-class _PartitionLeases:
-    """Single owner of a store's per-partition arena leases.
+class _PackedBase:
+    """A store's base tier as one shared ``(coords, index)`` segment pair.
 
-    Exactly one seam returns a lease to the arena: every path — the lazy
-    re-share in :meth:`lease`, compaction's :meth:`invalidate`, the
-    explicit :meth:`PartitionedStore.close_shared`, and the store's GC
-    finalizer — pops the entry under the lock before releasing it, so the
-    paths can fire in any order (or twice) without a lease ever being
-    returned to the arena twice.
+    Partition ``p``'s base rows are rows ``offsets[p]:offsets[p + 1]`` of
+    both segments.  The pair is packed on the first pooled batch and
+    reused while the snapshot's ``base_version`` matches; a compaction
+    bumps the version, so the next pooled batch releases the stale pair
+    and packs a fresh one.  The pair is keyed on that counter, never on
+    array ids, which the allocator reuses.  Every release path (a version
+    change, :meth:`PartitionedStore.close_shared`, the store's GC
+    finalizer) takes the pair under the lock first, so no segment is
+    ever released twice.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._leases: dict[int, tuple[np.ndarray, Any, np.ndarray, Any]] = {}
+        self._pair: tuple[int, Any, Any, tuple[int, ...]] | None = None
 
-    def __len__(self) -> int:
+    def refs(self, snap: _StoreSnapshot) -> tuple[Any, Any, tuple[int, ...]]:
+        """``(coords handle, index handle, offsets)`` for ``snap``'s base tier."""
+        from ..parallel import SharedArray
+
         with self._lock:
-            return len(self._leases)
+            pair = self._pair
+            if pair is not None and pair[0] == snap.base_version:
+                return pair[1].handle, pair[2].handle, pair[3]
+            self._pair = None
+            if pair is not None:
+                pair[1].release()
+                pair[2].release()
+            offsets = tuple(accumulate((a.shape[0] for a in snap.base_index), initial=0))
+            # The empty leading chunk keeps dtype and shape for a store
+            # with no partitions.
+            coords = SharedArray.create(np.concatenate([_EMPTY_COORDS, *snap.base_coords]))
+            try:
+                index = SharedArray.create(np.concatenate([_EMPTY_INDEX, *snap.base_index]))
+            except BaseException:
+                coords.release()  # pairs the first segment on the failure path
+                raise
+            self._pair = (snap.base_version, coords, index, offsets)
+            return coords.handle, index.handle, offsets
 
-    def lease(self, p: int, coords: np.ndarray, index: np.ndarray) -> tuple[Any, Any]:
-        """Live ``(coords, index)`` leases for partition ``p``'s base arrays.
-
-        A cached pair is reused only when it was shared from these exact
-        array objects and both segments are still alive — compaction swaps
-        the base arrays, so identity doubles as a staleness check even if
-        an explicit ``invalidate`` was missed.
-        """
-        from ..parallel.shm import get_arena
-
-        stale: tuple[np.ndarray, Any, np.ndarray, Any] | None = None
+    def release(self) -> None:
+        """Unlink the pair, if any; naturally idempotent (it is taken once)."""
         with self._lock:
-            cached = self._leases.get(p)
-            if cached is not None:
-                src_c, lease_c, src_i, lease_i = cached
-                if src_c is coords and src_i is index and lease_c.alive and lease_i.alive:
-                    return lease_c, lease_i
-                stale = self._leases.pop(p)
-        if stale is not None:
-            stale[1].release()
-            stale[3].release()
-        arena = get_arena()
-        lease_c = arena.share(coords)
-        try:
-            lease_i = arena.share(index)
-        except BaseException:
-            lease_c.release()  # pairs the first lease on the failure path
-            raise
-        try:
-            with self._lock:
-                displaced = self._leases.get(p)
-                self._leases[p] = (coords, lease_c, index, lease_i)
-        except BaseException:  # cache bookkeeping failed: both leases are still ours
-            lease_c.release()
-            lease_i.release()
-            raise
-        if displaced is not None:  # racing lease for the same partition
-            displaced[1].release()
-            displaced[3].release()
-        return lease_c, lease_i
-
-    def invalidate(self, p: int) -> None:
-        """Return partition ``p``'s leases (compaction's re-lease seam)."""
-        with self._lock:
-            entry = self._leases.pop(p, None)
-        if entry is not None:
-            entry[1].release()
-            entry[3].release()
-
-    def release_all(self) -> None:
-        """Return every lease; naturally idempotent (the dict drains once)."""
-        with self._lock:
-            entries = list(self._leases.values())
-            self._leases.clear()
-        for entry in entries:
-            entry[1].release()
-            entry[3].release()
+            pair, self._pair = self._pair, None
+        if pair is not None:
+            pair[1].release()
+            pair[2].release()
 
 
 def _query_chunk_task(payload: tuple) -> tuple[list[list[int]], int]:
     """Pool worker: answer one query chunk against the two-tier store.
 
-    ``part_refs`` carries, per partition, the base tier as arena handles
-    (``None`` when empty) and the delta tail inline (``None`` when empty) —
-    base columns stay in shared memory, delta tails ride the payload.
-    Quality-weight chunks (``None`` for unweighted batches) ride inline
-    too, pre-sliced to the same chunk layout the view rebuilds.
+    The base tier arrives as the store's packed pair (two segment handles
+    plus partition offsets), attached once per task and sliced per
+    partition.  Delta tails (``None`` when empty) ride the payload inline,
+    as do quality-weight chunks (``None`` for unweighted batches),
+    pre-sliced to the same chunk layout the view rebuilds.
     """
     from ..parallel import SharedArray
 
-    part_refs, boxes, mode, centers, arg, *rest = payload
-    wchunks = rest[0] if rest else None
-    coords_chunks: list[list[np.ndarray]] = []
-    index_chunks: list[list[np.ndarray]] = []
-    # One ExitStack pairs every attach with its release on all exit paths;
-    # flow-based R2 sees the enter_context ownership transfer directly.
+    (coords_h, index_h, offsets), deltas, boxes, mode, centers, arg, wchunks = payload
+    spans = list(zip(offsets, offsets[1:]))
+    # One ExitStack pairs both attaches with their release on all exit
+    # paths; flow-based R2 sees the enter_context ownership transfer
+    # directly.  The answers are plain lists, so no view outlives it.
     with ExitStack() as stack:
-        for base_ref, delta in part_refs:
-            cc: list[np.ndarray] = []
-            ic: list[np.ndarray] = []
-            if base_ref is not None:
-                coords_h, index_h = base_ref
-                cc.append(stack.enter_context(SharedArray.attach(coords_h)).array)
-                ic.append(stack.enter_context(SharedArray.attach(index_h)).array)
-            if delta is not None:
-                cc.append(delta[0])
-                ic.append(delta[1])
-            coords_chunks.append(cc)
-            index_chunks.append(ic)
-        view = _ColumnarView(boxes, coords_chunks, index_chunks)
+        coords = stack.enter_context(SharedArray.attach(coords_h)).array
+        index = stack.enter_context(SharedArray.attach(index_h)).array
+        view = _ColumnarView.of(
+            boxes,
+            [coords[lo:hi] for lo, hi in spans],
+            [index[lo:hi] for lo, hi in spans],
+            deltas,
+        )
         if mode == "range":
             return _route_range(view, centers, arg)
         return _route_knn(view, centers, arg, wchunks)
@@ -677,10 +661,11 @@ class PartitionedStore:
     Single-query entry points (:meth:`range_query`, :meth:`knn`) are thin
     wrappers over the batched ones, which scan each partition with the
     columnar kernels and optionally fan query chunks out to a process
-    pool (``workers > 1``): base columns travel as cached arena leases,
-    delta tails ride the task payload.  Results are bit-identical across
-    worker counts, delta state, and compaction timing — equal to a store
-    rebuilt from scratch with the same membership (:meth:`rebuilt`).
+    pool (``workers > 1``): the base tier travels as one packed pair of
+    shared segments, delta tails ride the task payload.  Results are
+    bit-identical across worker counts, delta state, and compaction
+    timing — equal to a store rebuilt from scratch with the same
+    membership (:meth:`rebuilt`).
 
     ``partitions_touched`` counts every (query, partition) routing
     decision regardless of execution backend.  Appends are thread-safe
@@ -700,10 +685,8 @@ class PartitionedStore:
         self._weights: np.ndarray | None = None
         self._bboxes = [p.bbox for p in partitions]
         self._tiers = _TwoTierColumns(self.points, partitions)
-        self._leases = _PartitionLeases()
-        self._lease_finalizer = weakref.finalize(
-            self, _PartitionLeases.release_all, self._leases
-        )
+        self._packed = _PackedBase()
+        self._packed_finalizer = weakref.finalize(self, _PackedBase.release, self._packed)
 
     @property
     def partitions(self) -> list[Partition]:
@@ -775,9 +758,10 @@ class PartitionedStore:
         fraction is at least the threshold (explicit ``threshold``, else
         ``$REPRO_STORE_COMPACT_THRESHOLD``, else 0.25).  Query results are
         unchanged by construction — and cached results stay valid:
-        compaction does not bump quality epochs.  Only folded partitions'
-        arena leases are invalidated; the next parallel batch re-leases
-        just those segments.  Must not overlap a parallel query batch.
+        compaction does not bump quality epochs.  A fold bumps the base
+        tier's version, so the next pooled batch re-packs the store's
+        shared pair — one copy of the whole base tier per compaction, not
+        per folded partition.  Must not overlap a parallel query batch.
         """
         clk = clock if clock is not None else MonotonicClock()
         delta_sizes = self._tiers.tier_sizes()[1]
@@ -801,7 +785,6 @@ class PartitionedStore:
         with cm:
             for p in targets:
                 folded += self._tiers.compact_one(p)
-                self._leases.invalidate(p)
         seconds = clk.now() - start
         if targets:
             self.compactions += 1
@@ -969,10 +952,11 @@ class PartitionedStore:
                     hits, touched = _route_knn(snap.view(), centers, arg, wchunks)
             else:
                 spans = chunk_spans(centers.shape[0], None)
-                part_refs = self._shared_refs(snap)
+                base = self._packed.refs(snap)
                 payloads = [
                     (
-                        part_refs,
+                        base,
+                        snap.deltas,
                         snap.boxes,
                         mode,
                         centers[start:stop],
@@ -991,36 +975,14 @@ class PartitionedStore:
             )
         return hits
 
-    def _shared_refs(self, snap: _StoreSnapshot) -> tuple:
-        """Worker-shippable snapshot: arena handles for base, inline deltas.
-
-        Base columns are immutable between compactions, so each
-        partition's pair is leased from the default arena once and reused
-        across batches (pool workers keep their cached attachments); delta
-        tails are small and simply pickled with the task.  Leases
-        invalidated by compaction or an arena ``close_all`` are re-shared
-        lazily — and only for the affected partitions.
-        """
-        refs = []
-        for p in range(snap.boxes.shape[0]):
-            base_coords = snap.base_coords[p]
-            if base_coords.shape[0]:
-                lease_c, lease_i = self._leases.lease(p, base_coords, snap.base_index[p])
-                base_ref = (lease_c.handle, lease_i.handle)
-            else:
-                base_ref = None
-            refs.append((base_ref, snap.deltas[p]))
-        return tuple(refs)
-
     def close_shared(self) -> None:
-        """Return this store's cached arena leases (idempotent).
+        """Unlink this store's packed shared pair (idempotent).
 
         Called automatically when the store is garbage collected; the GC
         finalizer stays registered and simply finds nothing left to
-        release.  Long-lived applications cycling many stores can call it
-        eagerly to keep the arena's free list tight.
+        release.  The next pooled batch packs a fresh pair.
         """
-        self._leases.release_all()
+        self._packed.release()
 
     def mean_partitions_per_query(self) -> float:
         """Average partitions touched per query (communication proxy)."""

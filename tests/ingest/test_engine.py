@@ -242,6 +242,17 @@ class TestRegistryIntegration:
         assert len(lats) == len(events)
         assert all(v >= 0 for v in lats)
 
+    def test_gate_latencies_keep_the_most_recent_window_per_shard(self, monkeypatch):
+        import repro.ingest.engine as engine_mod
+
+        monkeypatch.setattr(engine_mod, "_LATENCY_WINDOW", 8)
+        events, _ = _stream(n_sensors=16, t_end=120.0)
+        with IngestEngine(n_shards=2) as engine:
+            ReplaySource(events).drive(engine)
+        assert all(n > 8 for n in engine.processed_per_shard())
+        assert [len(shard) for shard in engine._latencies] == [8, 8]
+        assert len(engine.gate_latencies()) == 16
+
 
 @pytest.mark.slow
 class TestThroughputScaling:

@@ -212,75 +212,50 @@ class TestPartitionDependencySets:
 
 
 class TestPartitionLeaseExceptionSafety:
-    """Regression tests for the R2-flow findings fixed in _PartitionLeases.lease:
-    a failure anywhere between acquiring the arena leases and registering them
-    in the cache must return every acquired lease to the arena."""
+    """The store's packed shared pair (``_PackedBase``): a failure between
+    creating the two segments must unlink the first, and a packed pair is
+    reused while its base version holds."""
 
-    class _FakeLease:
-        def __init__(self):
-            self.alive = True
+    def _snapshot(self, skew, box):
+        store = PartitionedStore(skew, kd_partition(skew, box, 4))
+        return store._tiers.snapshot()
 
-        def release(self):
-            self.alive = False
+    def test_second_share_failure_releases_first_lease(self, monkeypatch, skew, box):
+        from repro.parallel import SharedArray
+        from repro.querying.distributed import _PackedBase
 
-    def _fake_arena(self, fail_on_share=None):
-        leases = []
-        test = self
+        handles = []
+        real_create = SharedArray.create.__func__
 
-        class _FakeArena:
-            def share(self, arr):
-                if fail_on_share is not None and len(leases) + 1 == fail_on_share:
-                    raise RuntimeError("arena exhausted")
-                lease = test._FakeLease()
-                leases.append(lease)
-                return lease
+        def flaky_create(cls, array):
+            if handles:
+                raise RuntimeError("segments exhausted")
+            shared = real_create(cls, array)
+            handles.append(shared.handle)
+            return shared
 
-        return _FakeArena(), leases
+        monkeypatch.setattr(SharedArray, "create", classmethod(flaky_create))
+        packed = _PackedBase()
+        with pytest.raises(RuntimeError, match="segments exhausted"):
+            packed.refs(self._snapshot(skew, box))
+        assert len(handles) == 1
+        with pytest.raises(FileNotFoundError):
+            SharedArray.attach(handles[0])
+        assert packed._pair is None
 
-    def test_second_share_failure_releases_first_lease(self, monkeypatch):
+    def test_successful_lease_is_cached_and_alive(self, skew, box):
         import numpy as np
 
-        from repro.parallel import shm
-        from repro.querying.distributed import _PartitionLeases
+        from repro.parallel import SharedArray
+        from repro.querying.distributed import _PackedBase
 
-        arena, leases = self._fake_arena(fail_on_share=2)
-        monkeypatch.setattr(shm, "get_arena", lambda: arena)
-        pl = _PartitionLeases()
-        with pytest.raises(RuntimeError, match="arena exhausted"):
-            pl.lease(0, np.zeros((3, 3)), np.arange(3))
-        assert len(leases) == 1 and not leases[0].alive
-        assert len(pl) == 0
-
-    def test_cache_registration_failure_releases_both_leases(self, monkeypatch):
-        import numpy as np
-
-        from repro.parallel import shm
-        from repro.querying.distributed import _PartitionLeases
-
-        arena, leases = self._fake_arena()
-        monkeypatch.setattr(shm, "get_arena", lambda: arena)
-
-        class _BoomDict(dict):
-            def __setitem__(self, key, value):
-                raise RuntimeError("bookkeeping failed")
-
-        pl = _PartitionLeases()
-        pl._leases = _BoomDict()
-        with pytest.raises(RuntimeError, match="bookkeeping failed"):
-            pl.lease(0, np.zeros((3, 3)), np.arange(3))
-        assert len(leases) == 2
-        assert all(not lease.alive for lease in leases)
-
-    def test_successful_lease_is_cached_and_alive(self, monkeypatch):
-        import numpy as np
-
-        from repro.parallel import shm
-        from repro.querying.distributed import _PartitionLeases
-
-        arena, leases = self._fake_arena()
-        monkeypatch.setattr(shm, "get_arena", lambda: arena)
-        pl = _PartitionLeases()
-        coords, index = np.zeros((3, 3)), np.arange(3)
-        lease_c, lease_i = pl.lease(0, coords, index)
-        assert lease_c.alive and lease_i.alive
-        assert len(pl) == 1
+        snap = self._snapshot(skew, box)
+        packed = _PackedBase()
+        coords_h, index_h, offsets = packed.refs(snap)
+        try:
+            assert packed.refs(snap) == (coords_h, index_h, offsets)  # reused
+            assert offsets[-1] == sum(a.shape[0] for a in snap.base_index)
+            with SharedArray.attach(index_h) as index:
+                assert np.array_equal(index.array, np.concatenate(snap.base_index))
+        finally:
+            packed.release()

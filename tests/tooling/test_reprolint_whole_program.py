@@ -466,22 +466,24 @@ class TestR2Flow:
         )
         assert run_reprolint(tmp_path) == []
 
-    def test_arena_lease_early_return_flagged(self, tmp_path):
+    def test_attach_early_return_flagged(self, tmp_path):
         write_module(
             tmp_path,
             "src/repro/bad.py",
             """
-            def cache_lease(arena, coords, flag):
-                lease = arena.share(coords)
+            from repro.parallel import SharedArray
+
+            def borrow(handle, flag):
+                view = SharedArray.attach(handle)
                 if flag:
                     return None
-                lease.release()
-                return lease
+                view.release()
+                return True
             """,
         )
         findings = run_reprolint(tmp_path)
-        assert [(f.rule, f.line) for f in findings] == [("R2", 2)]
-        assert "arena lease" in findings[0].message
+        assert [(f.rule, f.line) for f in findings] == [("R2", 4)]
+        assert "shared-memory segment" in findings[0].message
 
     def test_pool_lease_never_closed_flagged(self, tmp_path):
         write_module(
@@ -539,8 +541,8 @@ class TestR2Flow:
                 with span:
                     return 1
 
-            def conditional(arena, arr):
-                block = arena.share(arr) if arena is not None else SharedArray.create(arr)
+            def conditional(arr, flat):
+                block = SharedArray.create(arr.ravel()) if flat else SharedArray.create(arr)
                 return block
             """,
         )
