@@ -35,12 +35,13 @@ from .distances import (
     box_gap_dists,
     box_max_dists,
     box_min_dists,
-    chunked_range_hits,
+    box_min_dists_many,
     cross_dists,
     dists_to,
     haversine_m_many,
     knn_select,
     knn_select_many,
+    paired_dists,
     range_mask,
     range_masks,
 )
@@ -69,12 +70,13 @@ __all__ = [
     "box_gap_dists",
     "box_max_dists",
     "box_min_dists",
-    "chunked_range_hits",
+    "box_min_dists_many",
     "cross_dists",
     "dists_to",
     "haversine_m_many",
     "knn_select",
     "knn_select_many",
+    "paired_dists",
     "range_mask",
     "range_masks",
     "leg_displacements",

@@ -41,7 +41,15 @@ def center_of(center) -> np.ndarray:
 
 
 def centers_of(centers: Sequence) -> np.ndarray:
-    """Coerce a batch of query centers to an ``(m, 2)`` array."""
+    """Coerce a batch of query centers to an ``(m, 2)`` array.
+
+    An ``(m, 2)`` array passes through (as float); a ``Point`` sequence is
+    packed in one :func:`coords_of` pass; anything else goes row by row.
+    """
+    if isinstance(centers, np.ndarray) and centers.ndim == 2 and centers.shape[1] == 2:
+        return np.asarray(centers, dtype=float)
+    if isinstance(centers, (list, tuple)) and centers and hasattr(centers[0], "x"):
+        return coords_of(centers)
     rows = [center_of(c) for c in centers]
     if not rows:
         return np.zeros((0, 2))

@@ -48,6 +48,17 @@ def dists_to(coords: np.ndarray, center) -> np.ndarray:
     return _sqrt_sum_sq(coords[:, 0] - c[0], coords[:, 1] - c[1])
 
 
+def paired_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise distances ``(n,)`` between ``a[i]`` and ``b[i]`` (two ``(n, 2)`` sets).
+
+    Element ``i`` equals ``dists_to(a[i:i + 1], b[i])`` bit for bit, so a
+    batch of per-query distance passes collapses into one.
+    """
+    if a.shape[0] == 0:
+        return np.zeros(0)
+    return _sqrt_sum_sq(a[:, 0] - b[:, 0], a[:, 1] - b[:, 1])
+
+
 def cross_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Full ``(n, m)`` Euclidean distance matrix between two point sets."""
     if a.shape[0] == 0 or b.shape[0] == 0:
@@ -103,29 +114,6 @@ def knn_select_many(
     return [knn_select(d[i], ids, k) for i in range(centers.shape[0])]
 
 
-def chunked_range_hits(chunks, centers: np.ndarray, radii) -> list[np.ndarray]:
-    """Per-query ids within radius over a chunked point set (merged scan).
-
-    ``chunks`` is a sequence of ``(coords, ids)`` pairs — e.g. a store
-    partition's packed base columns followed by its delta tail — and each
-    of the ``m`` queries gets back the matching ids in chunk order, then
-    row order within each chunk: exactly what one scan over the
-    concatenated arrays would return, without materializing the
-    concatenation.  ``radii`` is a scalar or an ``(m,)`` array.
-    """
-    m = centers.shape[0]
-    r = np.asarray(radii, dtype=float)
-    parts: list[list[np.ndarray]] = [[] for _ in range(m)]
-    for coords, ids in chunks:
-        if coords.shape[0] == 0:
-            continue
-        masks = range_masks(coords, centers, r)
-        for qi in range(m):
-            parts[qi].append(ids[masks[qi]])
-    empty = np.zeros(0, dtype=np.int64)
-    return [np.concatenate(p) if p else empty for p in parts]
-
-
 def box_min_dists(boxes: np.ndarray, center) -> np.ndarray:
     """Min distance from ``center`` to each box row ``(min_x, min_y, max_x, max_y)``."""
     c = center_of(center)
@@ -133,6 +121,23 @@ def box_min_dists(boxes: np.ndarray, center) -> np.ndarray:
         return np.zeros(0)
     dx = np.maximum(np.maximum(boxes[:, 0] - c[0], c[0] - boxes[:, 2]), 0.0)
     dy = np.maximum(np.maximum(boxes[:, 1] - c[1], c[1] - boxes[:, 3]), 0.0)
+    return np.hypot(dx, dy)
+
+
+def box_min_dists_many(boxes: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """``(m, n)`` min distances from ``m`` centers to ``n`` box rows at once.
+
+    Row ``i`` equals ``box_min_dists(boxes, centers[i])`` bit for bit (the
+    same element-wise formula, broadcast), so a router can replace a
+    per-query bound loop with one reduction.
+    """
+    c = np.asarray(centers, dtype=float).reshape(-1, 2)
+    if c.shape[0] == 0 or boxes.shape[0] == 0:
+        return np.zeros((c.shape[0], boxes.shape[0]))
+    x = c[:, 0, None]
+    y = c[:, 1, None]
+    dx = np.maximum(np.maximum(boxes[None, :, 0] - x, x - boxes[None, :, 2]), 0.0)
+    dy = np.maximum(np.maximum(boxes[None, :, 1] - y, y - boxes[None, :, 3]), 0.0)
     return np.hypot(dx, dy)
 
 

@@ -123,6 +123,15 @@ def dists_to(coords, center) -> np.ndarray:
     return np.array([_pair_dist(float(x) - cx, float(y) - cy) for x, y in rows])
 
 
+def paired_dists(a, b) -> np.ndarray:
+    """Per-row-pair distance loop (twin of kernels.paired_dists)."""
+    ra = np.asarray(a, dtype=float).reshape(-1, 2)
+    rb = np.asarray(b, dtype=float).reshape(-1, 2)
+    return np.array(
+        [_pair_dist(ra[i, 0] - rb[i, 0], ra[i, 1] - rb[i, 1]) for i in range(ra.shape[0])]
+    )
+
+
 def cross_dists(a, b) -> np.ndarray:
     """Nested-loop distance matrix (twin of kernels.cross_dists)."""
     ra = np.asarray(a, dtype=float).reshape(-1, 2)
@@ -172,24 +181,6 @@ def knn_select_many(coords, ids, centers, k: int) -> list[np.ndarray]:
     ]
 
 
-def chunked_range_hits(chunks, centers, radii) -> list[np.ndarray]:
-    """Per-chunk, per-row disk-membership loop (twin of kernels.chunked_range_hits)."""
-    centers_arr = np.asarray(centers, dtype=float).reshape(-1, 2)
-    r = np.asarray(radii, dtype=float)
-    out = []
-    for qi in range(centers_arr.shape[0]):
-        cx, cy = float(centers_arr[qi, 0]), float(centers_arr[qi, 1])
-        radius = float(r) if r.ndim == 0 else float(r[qi])
-        found: list[int] = []
-        for coords, ids in chunks:
-            rows = np.asarray(coords, dtype=float).reshape(-1, 2)
-            for row in range(rows.shape[0]):
-                if _pair_dist(rows[row, 0] - cx, rows[row, 1] - cy) <= radius:
-                    found.append(int(ids[row]))
-        out.append(np.asarray(found, dtype=np.int64))
-    return out
-
-
 def box_min_dists(boxes, center) -> np.ndarray:
     """Per-box min-distance loop (twin of kernels.box_min_dists)."""
     cx, cy = _center_xy(center)
@@ -200,6 +191,16 @@ def box_min_dists(boxes, center) -> np.ndarray:
         dy = max(min_y - cy, cy - max_y, 0.0)
         out.append(math.hypot(dx, dy))
     return np.array(out) if out else np.zeros(0)
+
+
+def box_min_dists_many(boxes, centers) -> np.ndarray:
+    """Per-center loop over box_min_dists (twin of kernels.box_min_dists_many)."""
+    centers_arr = np.asarray(centers, dtype=float).reshape(-1, 2)
+    n = np.asarray(boxes, dtype=float).reshape(-1, 4).shape[0]
+    out = np.zeros((centers_arr.shape[0], n))
+    for i in range(centers_arr.shape[0]):
+        out[i] = box_min_dists(boxes, centers_arr[i])
+    return out
 
 
 def box_max_dists(boxes, center) -> np.ndarray:

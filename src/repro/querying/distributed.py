@@ -171,7 +171,7 @@ class _ColumnarView:
     routing functions over this one structure.
     """
 
-    __slots__ = ("boxes", "coords_chunks", "index_chunks")
+    __slots__ = ("boxes", "coords_chunks", "index_chunks", "sizes")
 
     def __init__(
         self,
@@ -182,6 +182,8 @@ class _ColumnarView:
         self.boxes = boxes
         self.coords_chunks = coords_chunks
         self.index_chunks = index_chunks
+        #: Rows per partition across both tiers.
+        self.sizes = [sum(c.shape[0] for c in chunks) for chunks in coords_chunks]
 
     @classmethod
     def of(
@@ -207,9 +209,6 @@ class _ColumnarView:
     @property
     def n_partitions(self) -> int:
         return self.boxes.shape[0]
-
-    def part_size(self, p: int) -> int:
-        return sum(c.shape[0] for c in self.coords_chunks[p])
 
 
 class _StoreSnapshot:
@@ -437,6 +436,18 @@ class _TwoTierColumns:
         ]
 
 
+def _split_rows(rows: np.ndarray, values: list, n_rows: int) -> list[list]:
+    """Group ``values`` by their ascending ``rows`` labels into ``n_rows`` lists."""
+    ends = np.cumsum(np.bincount(rows, minlength=n_rows)).tolist()
+    return [values[a:b] for a, b in zip([0, *ends], ends)]
+
+
+def _row_sets(mask: np.ndarray) -> list[tuple[int, ...]]:
+    """Column indices of each row's True entries in a ``(Q, P)`` matrix."""
+    rows, cols = np.nonzero(mask)
+    return [tuple(c) for c in _split_rows(rows, cols.tolist(), mask.shape[0])]
+
+
 def _route_range(
     view: _ColumnarView, centers: np.ndarray, radii: np.ndarray
 ) -> tuple[list[list[int]], int]:
@@ -445,28 +456,36 @@ def _route_range(
     A partition is *touched* by a query when its scan box overlaps the
     disk (whether or not any point qualifies), matching the legacy
     per-query scalar router.  Hits come back in partition order, then in
-    each partition's member order (base rows before delta rows).  Scans
-    are batched partition-major: one
-    :func:`repro.kernels.chunked_range_hits` merged scan covers every
-    query routed to a partition across both tiers.
+    each partition's member order (base rows before delta rows).  The
+    overlap test is one ``(Q, P)`` bound matrix; scans are partition-major
+    (one :func:`repro.kernels.range_masks` per partition chunk covers
+    every query routed there), and the collected ``(query, id)`` pairs
+    are regrouped per query by one stable sort.
     """
     n_queries = centers.shape[0]
-    hits: list[list[int]] = [[] for _ in range(n_queries)]
     if n_queries == 0 or view.n_partitions == 0:
-        return hits, 0
-    overlap = np.zeros((n_queries, view.n_partitions), dtype=bool)
-    for qi in range(n_queries):
-        overlap[qi] = kernels.box_min_dists(view.boxes, centers[qi]) <= radii[qi]
-    touched = int(overlap.sum())
-    for p in range(view.n_partitions):
-        routed = np.flatnonzero(overlap[:, p])
-        if routed.size == 0 or view.part_size(p) == 0:
-            continue
-        chunks = list(zip(view.coords_chunks[p], view.index_chunks[p]))
-        per_query = kernels.chunked_range_hits(chunks, centers[routed], radii[routed])
-        for qi, ids in zip(routed.tolist(), per_query):
-            hits[qi].extend(ids.tolist())
-    return hits, touched
+        return [[] for _ in range(n_queries)], 0
+    overlap = kernels.box_min_dists_many(view.boxes, centers) <= radii[:, None]
+    # (partition, query) pairs, partition-major: one group per routed partition
+    parts, queries = np.nonzero(overlap.T)
+    touched = int(parts.shape[0])
+    starts = np.flatnonzero(np.diff(parts, prepend=-1)).tolist()
+    q_parts: list[np.ndarray] = []
+    id_parts: list[np.ndarray] = []
+    for lo, hi in zip(starts, [*starts[1:], touched]):
+        p = int(parts[lo])
+        routed = queries[lo:hi]
+        for coords, index in zip(view.coords_chunks[p], view.index_chunks[p]):
+            rows, cols = np.nonzero(kernels.range_masks(coords, centers[routed], radii[routed]))
+            q_parts.append(routed[rows])
+            id_parts.append(index[cols])
+    if not q_parts:
+        return [[] for _ in range(n_queries)], touched
+    qs = np.concatenate(q_parts)
+    # stable: partition -> chunk -> row order kept within each query
+    order = np.argsort(qs, kind="stable")
+    ids = np.concatenate(id_parts)[order].tolist()
+    return _split_rows(qs[order], ids, n_queries), touched
 
 
 def _route_knn(
@@ -478,11 +497,12 @@ def _route_knn(
     """kNN routing: scan partitions best-first, prune by the k-th distance.
 
     Partitions are visited in ascending ``(scan-box min-distance,
-    partition index)`` order; scanning stops once ``k`` candidates are
-    known and the next partition's lower bound exceeds the current k-th
-    distance.  Every scanned partition counts as touched, and a scanned
-    partition contributes both its tiers.  Ties break by ascending point
-    index (the package-wide ``(distance, id)`` rule).
+    partition index)`` order — one stable sort of the batch's ``(Q, P)``
+    bound matrix; scanning stops once ``k`` candidates are known and the
+    next partition's lower bound exceeds the current k-th distance.
+    Every scanned partition counts as touched, and a scanned partition
+    contributes both its tiers.  Ties break by ascending point index (the
+    package-wide ``(distance, id)`` rule).
 
     ``weights`` (chunk lists aligned with ``view``'s) turns the scan into
     quality-weighted ranking: candidates order by *effective* distance
@@ -495,32 +515,32 @@ def _route_knn(
     out: list[list[int]] = [[] for _ in range(n_queries)]
     if n_queries == 0 or view.n_partitions == 0 or k < 1:
         return out, 0
+    bounds = kernels.box_min_dists_many(view.boxes, centers)
+    orders = np.argsort(bounds, axis=1, kind="stable").tolist()
+    lowers = bounds.tolist()
+    sizes = view.sizes
     touched = 0
     for qi in range(n_queries):
-        lower = kernels.box_min_dists(view.boxes, centers[qi])
-        order = np.lexsort((np.arange(view.n_partitions), lower))
+        lower = lowers[qi]
         d_parts: list[np.ndarray] = []
         id_parts: list[np.ndarray] = []
         total = 0
         kth = np.inf
-        for p in order.tolist():
+        for p in orders[qi]:
             if total >= k and lower[p] > kth:
                 break
             touched += 1
-            size = view.part_size(p)
-            if size == 0:
+            if sizes[p] == 0:
                 continue
             for ci, (coords, index) in enumerate(
                 zip(view.coords_chunks[p], view.index_chunks[p])
             ):
-                if coords.shape[0] == 0:
-                    continue
                 d = kernels.dists_to(coords, centers[qi])
                 if weights is not None:
                     d = d / weights[p][ci]
                 d_parts.append(d)
                 id_parts.append(index)
-            total += size
+            total += sizes[p]
             if total >= k:
                 kth = float(np.partition(np.concatenate(d_parts), k - 1)[k - 1])
         if total:
@@ -621,6 +641,17 @@ def _query_chunk_task(payload: tuple) -> tuple[list[list[int]], int]:
         if mode == "range":
             return _route_range(view, centers, arg)
         return _route_knn(view, centers, arg, wchunks)
+
+
+def _centers_radii(centers, radii) -> tuple[np.ndarray, np.ndarray]:
+    """``(m, 2)`` centers and ``(m,)`` radii (a scalar radius is shared)."""
+    c = kernels.centers_of(centers)
+    r = np.asarray(radii, dtype=float)
+    if r.ndim == 0:
+        r = np.full(c.shape[0], float(r))
+    elif r.shape != (c.shape[0],):
+        raise ValueError("radii must be a scalar or match the number of centers")
+    return c, r
 
 
 #: Environment override for the default compaction trigger.
@@ -889,12 +920,7 @@ class PartitionedStore:
 
         ``radii`` is a scalar shared by every query or a per-query sequence.
         """
-        c = kernels.centers_of(centers)
-        r = np.asarray(radii, dtype=float)
-        if r.ndim == 0:
-            r = np.full(c.shape[0], float(r))
-        elif r.shape != (c.shape[0],):
-            raise ValueError("radii must be a scalar or match the number of centers")
+        c, r = _centers_radii(centers, radii)
         return self._run_batch("range", c, r, workers, executor)
 
     def knn(self, center: Point, k: int, *, weighted: bool = False) -> list[int]:
@@ -1018,18 +1044,9 @@ class PartitionedStore:
         The serving layer keys cached results on these sets for
         quality-epoch invalidation.
         """
-        c = kernels.centers_of(centers)
-        r = np.asarray(radii, dtype=float)
-        if r.ndim == 0:
-            r = np.full(c.shape[0], float(r))
-        elif r.shape != (c.shape[0],):
-            raise ValueError("radii must be a scalar or match the number of centers")
-        boxes = self._tiers.snapshot().boxes
-        out: list[tuple[int, ...]] = []
-        for qi in range(c.shape[0]):
-            overlap = kernels.box_min_dists(boxes, c[qi]) <= r[qi]
-            out.append(tuple(int(p) for p in np.flatnonzero(overlap)))
-        return out
+        c, r = _centers_radii(centers, radii)
+        bounds = kernels.box_min_dists_many(self._tiers.snapshot().boxes, c)
+        return _row_sets(bounds <= r[:, None])
 
     def knn_partition_sets(
         self,
@@ -1067,21 +1084,22 @@ class PartitionedStore:
         c = kernels.centers_of(centers)
         if c.shape[0] != len(hits):
             raise ValueError("hits must align with centers")
-        n_parts = self._tiers.n_partitions
-        boxes = self._tiers.snapshot().boxes
-        w = self._weights if weighted else None
-        out: list[tuple[int, ...]] = []
-        for qi, ids in enumerate(hits):
-            if not ids or (k is not None and len(ids) < k):
-                out.append(tuple(range(n_parts)))
-                continue
-            coords = kernels.coords_of([self.points[i] for i in ids])
-            dists = kernels.dists_to(coords, c[qi])
-            if w is not None:
-                id_arr = np.asarray(ids, dtype=np.int64)
-                dists = dists / _weights_for(id_arr, w)
-            kth = float(dists.max())
-            lower = kernels.box_min_dists(boxes, c[qi])
-            overlap = lower < kth if append_only else lower <= kth
-            out.append(tuple(int(p) for p in np.flatnonzero(overlap)))
-        return out
+        full = [qi for qi, ids in enumerate(hits) if ids and (k is None or len(ids) >= k)]
+        kth = np.zeros(c.shape[0])
+        if full:
+            flat = [i for qi in full for i in hits[qi]]
+            lengths = np.array([len(hits[qi]) for qi in full])
+            owner = np.repeat(np.array(full), lengths)
+            coords = kernels.coords_of([self.points[i] for i in flat])
+            dists = kernels.paired_dists(coords, c[owner])
+            if weighted and self._weights is not None:
+                dists = dists / _weights_for(np.array(flat, dtype=np.int64), self._weights)
+            starts = np.concatenate([[0], np.cumsum(lengths)[:-1]])
+            kth[full] = np.maximum.reduceat(dists, starts)
+        bounds = kernels.box_min_dists_many(self._tiers.snapshot().boxes, c)
+        kth_col = kth[:, None]
+        mask = bounds < kth_col if append_only else bounds <= kth_col
+        short = np.ones(c.shape[0], dtype=bool)
+        short[full] = False
+        mask[short] = True  # a short answer depends on every partition
+        return _row_sets(mask)

@@ -21,18 +21,23 @@ from __future__ import annotations
 import asyncio
 from dataclasses import dataclass, field
 
-from .requests import BatchKey, QueryRequest
+from .requests import BatchKey, QueryRequest, Signature
 
 
 @dataclass(slots=True)
 class PendingQuery:
-    """One admitted request waiting for its batch: who asked, when, and the
-    future its response resolves."""
+    """One admitted request waiting for its batch.
+
+    Carries who asked, when, the future its response resolves, and the
+    request signature, computed once at submit and reused as the cache
+    key at resolve.
+    """
 
     request: QueryRequest
     future: "asyncio.Future"
     enqueued_at: float
     seq: int
+    signature: Signature = ()
 
 
 @dataclass(slots=True)
@@ -71,14 +76,20 @@ class Coalescer:
         """How many admitted requests are waiting for a batch."""
         return self._pending
 
-    def add(self, request: QueryRequest, future: "asyncio.Future", now: float) -> bool:
+    def add(
+        self,
+        request: QueryRequest,
+        future: "asyncio.Future",
+        now: float,
+        signature: Signature = (),
+    ) -> bool:
         """Enqueue one request; True when its bucket just reached max_batch."""
         key = request.batch_key()
         bucket = self._buckets.get(key)
         if bucket is None:
             bucket = self._buckets[key] = []
             self._deadlines[key] = now + self.linger
-        bucket.append(PendingQuery(request, future, now, self._seq))
+        bucket.append(PendingQuery(request, future, now, self._seq, signature))
         self._seq += 1
         self._pending += 1
         return len(bucket) >= self.max_batch

@@ -17,8 +17,9 @@ counts, batch shapes, and cache state (``tests/serve/test_service.py``).
 Observability: with :func:`repro.obs.enable` on, every request gets a
 ``serve.request`` span covering queue wait plus service time, and the
 metrics registry collects queue-depth high-water gauges, coalesce
-batch-size and latency histograms, and cache/shed/executor-reuse
-counters (names in ``docs/OBSERVABILITY.md``).
+batch-size histograms, latency histograms split into queue wait and
+service time, and cache/shed/executor-reuse counters (names in
+``docs/OBSERVABILITY.md``).
 """
 
 from __future__ import annotations
@@ -34,13 +35,14 @@ from ..parallel import Executor, get_executor
 from ..querying.distributed import PartitionedStore, resolve_compact_threshold
 from .admission import AdmissionController, AdmissionDecision
 from .cache import ResultCache
-from .coalescer import Batch, Coalescer, PendingQuery
+from .coalescer import Batch, Coalescer
 from .epochs import EpochRegistry
 from .requests import (
     SHED_RESPONSE,
     QueryRequest,
     QueryResponse,
     ResponseStatus,
+    Signature,
 )
 
 #: Shared no-op context for disabled-observability paths.
@@ -239,7 +241,9 @@ class QueryService:
         """Submit a batch concurrently; responses in request order."""
         return list(await asyncio.gather(*(self.submit(r) for r in requests)))
 
-    def _signature(self, request: QueryRequest, weights_epoch: int | None = None) -> tuple:
+    def _cache_key(
+        self, signature: Signature, weighted: bool, weights_epoch: int | None = None
+    ) -> Signature:
         """Cache key: the request signature, epoch-stamped when weighted.
 
         Weighted kNN answers depend on the store's installed quality
@@ -249,19 +253,21 @@ class QueryService:
         result.  ``weights_epoch`` pins the epoch sampled *before* a
         kernel dispatch; lookups pass None to read the live value.
         """
-        sig = request.signature()
-        if getattr(request, "weighted", False):
-            epoch = (
-                weights_epoch
-                if weights_epoch is not None
-                else getattr(self.store, "weights_epoch", 0)
-            )
-            sig = sig + ("qod-epoch", epoch)
-        return sig
+        if not weighted:
+            return signature
+        epoch = (
+            weights_epoch
+            if weights_epoch is not None
+            else getattr(self.store, "weights_epoch", 0)
+        )
+        return signature + ("qod-epoch", epoch)
 
     async def _submit_inner(self, request: QueryRequest, obs_on: bool) -> QueryResponse:
         self.stats.submitted += 1
-        cached, lookup = self.cache.get(self._signature(request))
+        signature = request.signature()
+        cached, lookup = self.cache.get(
+            self._cache_key(signature, getattr(request, "weighted", False))
+        )
         if obs_on:
             OBS.metrics.inc("repro_serve_cache_total", (("result", lookup),))
         if cached is not None:
@@ -292,7 +298,7 @@ class QueryService:
             victim.future.set_result(self._shed(victim.request, obs_on))
 
         future: asyncio.Future = asyncio.get_running_loop().create_future()
-        self._coalescer.add(request, future, self._clock.now())
+        self._coalescer.add(request, future, self._clock.now(), signature)
         self._state.depth += 1
         if self._state.depth > self.stats.max_depth_seen:
             self.stats.max_depth_seen = self._state.depth
@@ -413,9 +419,11 @@ class QueryService:
 
     async def _dispatch(self, batch: Batch) -> None:
         obs_on = OBS.enabled
+        started = self._clock.now() if obs_on else 0.0
         requests = [p.request for p in batch.items]
         centers = [r.center for r in requests]
         mode = str(batch.key[0])
+        weighted = len(batch.key) > 2 and bool(batch.key[2])
         # Epochs are sampled BEFORE the kernel call — quality epochs and,
         # for weighted batches, the store's weights epoch: a write (or a
         # weight update) racing the computation leaves the cached entry
@@ -435,7 +443,6 @@ class QueryService:
                 pid_sets = self.store.range_partition_sets(centers, radii)
             else:
                 k = int(batch.key[1])  # type: ignore[arg-type]
-                weighted = len(batch.key) > 2 and bool(batch.key[2])
                 if weighted:
                     hits = self.store.knn_many(
                         centers, k, executor=self._executor, weighted=True
@@ -452,44 +459,41 @@ class QueryService:
                 OBS.metrics.inc("repro_serve_executor_reuse_total")
         self.stats.kernel_calls += 1
         self.stats.batches += 1
-        if len(batch) > self.stats.max_batch_seen:
-            self.stats.max_batch_seen = len(batch)
-        if obs_on:
-            OBS.metrics.inc("repro_serve_kernel_calls_total", (("mode", mode),))
-            OBS.metrics.observe("repro_serve_batch_size", (("mode", mode),), float(len(batch)))
-        now = self._clock.now()
+        size = len(batch)
+        if size > self.stats.max_batch_seen:
+            self.stats.max_batch_seen = size
+        put = self.cache.put
+        stamp = ("qod-epoch", weights_epoch) if weighted else ()
         for pending, result, pids in zip(batch.items, hits, pid_sets):
-            self._resolve(
-                pending, result, pids, epoch_snap, weights_epoch, len(batch), mode, now, obs_on
-            )
+            results = tuple(map(int, result))
+            put(pending.signature + stamp, results, pids, tuple([epoch_snap[p] for p in pids]))
+            self.stats.served += 1
+            self._state.depth -= 1
+            if not pending.future.done():
+                pending.future.set_result(
+                    QueryResponse(ResponseStatus.OK, results, cached=False, batch_size=size)
+                )
+        if obs_on:
+            self._observe_batch(batch, mode, started)
         async with self._capacity:
             self._capacity.notify_all()
 
-    def _resolve(
-        self,
-        pending: PendingQuery,
-        result: list[int],
-        pids: tuple[int, ...],
-        epoch_snap: tuple[int, ...],
-        weights_epoch: int,
-        batch_size: int,
-        mode: str,
-        now: float,
-        obs_on: bool,
-    ) -> None:
-        results = tuple(int(i) for i in result)
-        vector = tuple(epoch_snap[pid] for pid in pids)
-        self.cache.put(self._signature(pending.request, weights_epoch), results, pids, vector)
-        self.stats.served += 1
-        self._state.depth -= 1
-        if obs_on:
-            OBS.metrics.inc(
-                "repro_serve_requests_total", (("mode", mode), ("status", "ok"))
-            )
-            OBS.metrics.observe(
-                "repro_serve_latency_seconds", (("mode", mode),), now - pending.enqueued_at
-            )
-        if not pending.future.done():
-            pending.future.set_result(
-                QueryResponse(ResponseStatus.OK, results, cached=False, batch_size=batch_size)
-            )
+    def _observe_batch(self, batch: Batch, mode: str, started: float) -> None:
+        """Batch and per-request serve metrics, with latency split at dispatch.
+
+        A request's latency is its queue wait (enqueue to dispatch start)
+        plus its service time (dispatch start to resolve).
+        """
+        now = self._clock.now()
+        labels = (("mode", mode),)
+        metrics = OBS.metrics
+        metrics.inc("repro_serve_kernel_calls_total", labels)
+        metrics.observe("repro_serve_batch_size", labels, float(len(batch)))
+        metrics.inc(
+            "repro_serve_requests_total", (("mode", mode), ("status", "ok")), float(len(batch))
+        )
+        for pending in batch.items:
+            waited = started - pending.enqueued_at
+            metrics.observe("repro_serve_latency_seconds", labels, now - pending.enqueued_at)
+            metrics.observe("repro_serve_queue_wait_seconds", labels, waited)
+            metrics.observe("repro_serve_service_seconds", labels, now - started)

@@ -394,6 +394,44 @@ class TestObservability:
         assert sum(1 for s in request_spans if dict(s.attrs)["cached"] == "True") == 4
         assert dict(batch_spans[0].attrs)["size"] == "4"
 
+    def test_latency_splits_into_queue_wait_and_service(self, store):
+        """Per request: queue wait + service time == total latency."""
+        enable()
+        clock = ManualClock()
+
+        class SlowStore:
+            """Forwards to the store; each range batch takes 0.25 virtual s."""
+
+            def __getattr__(self, name):
+                return getattr(store, name)
+
+            def range_query_many(self, *args, **kwargs):
+                clock.advance(0.25)
+                return store.range_query_many(*args, **kwargs)
+
+        async def virtual_pause(delay):
+            clock.advance(delay)
+            await asyncio.sleep(0)
+
+        async def go():
+            async with QueryService(
+                SlowStore(), linger=0.5, max_batch=8, clock=clock, pause=virtual_pause
+            ) as svc:
+                # Three requests wait out the 0.5 s linger; then one full
+                # batch of eight dispatches at once.
+                await svc.submit_many(range_requests(3))
+                await svc.submit_many(range_requests(8, radius=30.0))
+
+        asyncio.run(go())
+        snap = OBS.metrics.snapshot()
+        lat = snap.histogram("repro_serve_latency_seconds", mode="range")
+        wait = snap.histogram("repro_serve_queue_wait_seconds", mode="range")
+        service = snap.histogram("repro_serve_service_seconds", mode="range")
+        assert lat.count == wait.count == service.count == 11
+        assert wait.total == 3 * 0.5 and wait.vmax == 0.5
+        assert service.total == 11 * 0.25
+        assert lat.total == wait.total + service.total
+
     def test_shed_metric_labelled_by_policy_and_priority(self, store):
         enable()
 

@@ -263,6 +263,23 @@ class TestDistanceKernels:
         assert kernels.cross_dists(empty, empty).shape == (0, 0)
         assert kernels.knn_select(np.zeros(0), np.zeros(0, dtype=np.int64), 5).shape == (0,)
         assert kernels.box_min_dists(np.zeros((0, 4)), Point(0, 0)).shape == (0,)
+        assert kernels.box_min_dists_many(np.zeros((0, 4)), np.ones((3, 2))).shape == (3, 0)
+        assert kernels.box_min_dists_many(np.ones((2, 4)), empty).shape == (0, 2)
+        assert kernels.paired_dists(empty, empty).shape == (0,)
+
+    @given(raw=coords_strategy(min_size=1, max_size=12), cen=coords_strategy(min_size=1))
+    def test_batched_bounds_are_bit_identical_per_row(self, raw, cen):
+        """Each bound-matrix row / paired distance equals the per-query kernel."""
+        pts = kernels.coords_of(as_points(raw))
+        boxes = np.hstack([pts, pts + 3.0])
+        centers = kernels.coords_of(as_points(cen))
+        bounds = kernels.box_min_dists_many(boxes, centers)
+        for i in range(centers.shape[0]):
+            assert np.array_equal(bounds[i], kernels.box_min_dists(boxes, centers[i]))
+        n = min(pts.shape[0], centers.shape[0])
+        paired = kernels.paired_dists(pts[:n], centers[:n])
+        for i in range(n):
+            assert paired[i] == kernels.dists_to(pts[i : i + 1], centers[i])[0]
 
     @given(
         bx=st.tuples(finite, finite, finite, finite),
@@ -317,6 +334,7 @@ def _twin_boxes(rng, n=12):
 PARITY_BUILDERS = {
     "dists_to": lambda rng: (_twin_coords(rng), Point(3.0, -7.0)),
     "cross_dists": lambda rng: (_twin_coords(rng, 25), _twin_coords(rng, 18)),
+    "paired_dists": lambda rng: (_twin_coords(rng, 25), _twin_coords(rng, 25)),
     "range_mask": lambda rng: (_twin_coords(rng), Point(0.0, 0.0), 150.0),
     "range_masks": lambda rng: (
         _twin_coords(rng),
@@ -334,16 +352,11 @@ PARITY_BUILDERS = {
         rng.uniform(-100.0, 100.0, size=(5, 2)),
         6,
     ),
-    "chunked_range_hits": lambda rng: (
-        [
-            (_twin_coords(rng, 20), np.arange(20, dtype=np.int64)),
-            (np.zeros((0, 2)), np.zeros(0, dtype=np.int64)),
-            (_twin_coords(rng, 15), np.arange(100, 115, dtype=np.int64)),
-        ],
-        rng.uniform(-100.0, 100.0, size=(6, 2)),
-        rng.uniform(10.0, 200.0, size=6),
-    ),
     "box_min_dists": lambda rng: (_twin_boxes(rng), Point(5.0, 5.0)),
+    "box_min_dists_many": lambda rng: (
+        _twin_boxes(rng),
+        rng.uniform(-150.0, 150.0, size=(7, 2)),
+    ),
     "box_max_dists": lambda rng: (_twin_boxes(rng), Point(5.0, 5.0)),
     "box_gap_dists": lambda rng: (BBox(-20.0, -20.0, 20.0, 20.0), _twin_boxes(rng)),
     "haversine_m_many": lambda rng: (
@@ -372,11 +385,8 @@ _EMPTY_BUILDERS = {
     "robust_zscores": lambda rng: (np.zeros(0),),
     "both_leg_flags": lambda rng: (np.zeros(0, dtype=bool),),
     "knn_select": lambda rng: (np.zeros(0), np.zeros(0, dtype=np.int64), 4),
-    "chunked_range_hits": lambda rng: (
-        [],
-        rng.uniform(-100.0, 100.0, size=(3, 2)),
-        50.0,
-    ),
+    "box_min_dists_many": lambda rng: (_twin_boxes(rng), np.zeros((0, 2))),
+    "paired_dists": lambda rng: (np.zeros((0, 2)), np.zeros((0, 2))),
 }
 
 
@@ -387,7 +397,7 @@ def _assert_twin_equal(name, got, want):
         assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
     elif name == "knn_select":
         np.testing.assert_array_equal(got, want)
-    elif name in ("knn_select_many", "chunked_range_hits"):
+    elif name == "knn_select_many":
         assert len(got) == len(want)
         for g, w in zip(got, want):
             np.testing.assert_array_equal(g, w)

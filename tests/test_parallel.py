@@ -632,6 +632,7 @@ class TestWorkerPoolManager:
     def test_restart_on_worker_death(self):
         import os
         import signal
+        import time
 
         from repro.parallel import WorkerPoolManager
 
@@ -639,8 +640,17 @@ class TestWorkerPoolManager:
         try:
             lease = manager.acquire(2)
             procs = lease._pool._pool._processes  # reach into the warm pool
-            os.kill(next(iter(procs)), signal.SIGKILL)
-            # The broken pool is detected mid-map, restarted, and retried.
+            victim = next(iter(procs.values()))
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join(timeout=10.0)
+            # Wait until the pool has noticed the death, so the map below
+            # always meets a broken pool (a surviving worker could
+            # otherwise finish both tasks first).
+            deadline = time.monotonic() + 10.0
+            while not lease._pool.broken and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert lease._pool.broken
+            # The broken pool is detected at map time, restarted, and retried.
             assert lease.map_ordered(_square, [5, 6]) == [25, 36]
             assert manager.stats.pools_restarted == 1
             assert manager.stats.pools_created == 2
